@@ -6,7 +6,7 @@
 //! diff against it):
 //!
 //! * **End-to-end events/sec** of fig2- and fig7-shaped workloads run
-//!   single-shard through the full engine (agents, transport, links,
+//!   through the full engine (agents, transport, links,
 //!   timing-wheel queue, slab flow tables). This is the number that
 //!   tracks across PRs. Each workload also reports its dispatch
 //!   breakdown (events per app variant, from the devirtualized
@@ -46,10 +46,8 @@
 //! and shorter simulated runs.
 //!
 //! * **Replicated thinners** (schema v4): fig2 with the auction split
-//!   over 4 replicas (`--thinners 4`, 10 ms digest cadence) on 4
-//!   shards — events/sec with the digest traffic included, plus the
-//!   shard-0 event share the replication exists to shrink (asserted
-//!   under 10%, vs ~25% with the single thinner).
+//!   over 4 replicas (`--thinners 4`, 10 ms digest cadence) —
+//!   events/sec with the digest traffic included.
 //!
 //! The JSON also carries frozen baselines so the speedups each PR
 //! claims stay auditable from the emitted document alone:
@@ -166,7 +164,7 @@ const PR8_XL_EVENTS_PER_SEC: f64 = 2_436_624.0;
 /// (which would cost an order of magnitude more).
 const XL_PEAK_RSS_CEILING_BYTES: u64 = 8 << 30;
 
-use speakup_exp::runner::{run, run_sharded};
+use speakup_exp::runner::run;
 use speakup_exp::scenario::Mode;
 use speakup_exp::scenarios;
 use speakup_net::event::{reference::HeapQueue, EventHandle, EventQueue};
@@ -425,8 +423,7 @@ fn best_of<T>(iters: usize, mut f: impl FnMut() -> T) -> (f64, T) {
     let mut best = f64::INFINITY;
     let mut out = None;
     for _ in 0..iters {
-        // Benches time the host by definition (see clippy.toml).
-        #[allow(clippy::disallowed_methods)]
+        // Benches time the host by definition.
         let start = Instant::now();
         let r = f();
         best = best.min(start.elapsed().as_secs_f64());
@@ -449,7 +446,7 @@ fn main() {
     for (name, mut sc) in shapes {
         sc.duration = SimDuration::from_secs(sim_secs);
         let (wall, report) = best_of(iters, || run(&sc));
-        let events: u64 = report.shard_events.iter().sum();
+        let events = report.events();
         let events_per_sec = events as f64 / wall;
 
         // Steady-state allocation rate, measured end-to-end and
@@ -473,7 +470,7 @@ fn main() {
         let before_full = alloc_count();
         let _ = run(&sc);
         let full_allocs = alloc_count() - before_full;
-        let half_events: u64 = half_report.shard_events.iter().sum();
+        let half_events = half_report.events();
         let steady_events = events - half_events;
         let steady_allocs = full_allocs.saturating_sub(half_allocs);
         let steady_allocs_per_event = steady_allocs as f64 / steady_events as f64;
@@ -527,16 +524,14 @@ fn main() {
     // microsecond is all topology/agent/table construction.
     let mut xl_setup = xl.clone();
     xl_setup.duration = SimDuration::from_micros(1);
-    // Benches time the host by definition (see clippy.toml).
-    #[allow(clippy::disallowed_methods)]
+    // Benches time the host by definition.
     let setup_start = Instant::now();
     let _ = run(&xl_setup);
     let xl_setup_secs = setup_start.elapsed().as_secs_f64();
-    #[allow(clippy::disallowed_methods)]
     let xl_start = Instant::now();
     let xl_report = run(&xl);
     let xl_wall = xl_start.elapsed().as_secs_f64();
-    let xl_events: u64 = xl_report.shard_events.iter().sum();
+    let xl_events = xl_report.events();
     let xl_eps = xl_events as f64 / xl_wall;
     // VmHWM is the process high-water mark; the fig2/fig7 workloads
     // above stay under ~100 MB, so the figure is fig2_xl's.
@@ -559,31 +554,19 @@ fn main() {
     );
 
     // ---- replicated thinners: fig2 with the auction split 4 ways ----
-    // The single thinner was the last serial component (~25% of all
-    // events pinned to its shard); with R = 4 replicas exchanging bid
-    // digests every 10 ms, shard 0 keeps only its replica's slice. The
-    // measured events/sec includes the digest control traffic, so this
-    // row is the throughput price of replication, and the shard-0 share
-    // beside it is what replication buys.
-    let rep_shards = 4u32;
+    // R = 4 replicas exchange bid digests every 10 ms. The measured
+    // events/sec includes the digest control traffic, so this row is
+    // the throughput price of replication.
     let mut rep = scenarios::fig2(0.5, Mode::Auction)
         .thinners(4)
         .sync_period(SimDuration::from_millis(10));
     rep.duration = SimDuration::from_secs(sim_secs);
-    let (rep_wall, rep_report) = best_of(iters, || run_sharded(&rep, rep_shards));
-    let rep_events: u64 = rep_report.shard_events.iter().sum();
+    let (rep_wall, rep_report) = best_of(iters, || run(&rep));
+    let rep_events = rep_report.events();
     let rep_eps = rep_events as f64 / rep_wall;
-    let rep_share =
-        rep_report.shard_events.first().copied().unwrap_or(0) as f64 / rep_events.max(1) as f64;
-    assert!(
-        rep_share < 0.10,
-        "fig2 with 4 thinner replicas still concentrates {rep_share:.3} of all \
-         events on shard 0 — replica placement regressed"
-    );
     println!(
-        "engine_throughput/fig2_replicated: thinners=4 shards={rep_shards} \
-         {rep_events} events in {rep_wall:.3}s = {rep_eps:.0} events/sec, \
-         shard0_share={rep_share:.3}"
+        "engine_throughput/fig2_replicated: thinners=4 \
+         {rep_events} events in {rep_wall:.3}s = {rep_eps:.0} events/sec"
     );
 
     // ---- hot-path replay: wheel + slab vs pre-PR heap + BTreeMap ----
@@ -695,12 +678,10 @@ fn main() {
         ratio(Some(new_rate), PR8_REPLAY_EVENTS_PER_SEC),
         ratio(Some(xl_eps), PR8_XL_EVENTS_PER_SEC)
     );
-    // Schema v4: the replicated-thinner row. `shard0_event_share` is
-    // the acceptance metric (the old single-thinner engine pinned ~25%
-    // of fig2's events to the thinner's shard; the bar here is 10%).
+    // Schema v4: the replicated-thinner row.
     let _ = writeln!(
         json,
-        "  \"replicated_thinners\": {{\"scenario\": \"fig2 f=0.5\", \"thinners\": 4, \"sync_period_ms\": 10, \"shards\": {rep_shards}, \"sim_secs\": {sim_secs}, \"events\": {rep_events}, \"events_per_sec\": {rep_eps:.0}, \"shard0_event_share\": {rep_share:.4}}},"
+        "  \"replicated_thinners\": {{\"scenario\": \"fig2 f=0.5\", \"thinners\": 4, \"sync_period_ms\": 10, \"sim_secs\": {sim_secs}, \"events\": {rep_events}, \"events_per_sec\": {rep_eps:.0}}},"
     );
     let _ = writeln!(
         json,

@@ -49,8 +49,8 @@ use speakup_net::time::SimTime;
 /// executes the returned [`Directive`]s. Front ends track server busyness
 /// themselves: a request is "on the server" from the `Admit` directive
 /// until the driver calls [`FrontEnd::on_server_done`] for it. `Send` is
-/// a supertrait so the thinner application can live on a sharded
-/// simulator's worker threads.
+/// a supertrait so the simulator's thinner application, which boxes its
+/// front end, meets the simulator's `Send` bound on apps.
 pub trait FrontEnd: Send {
     /// A new request arrived from a client.
     fn on_request(&mut self, now: SimTime, req: RequestKey, out: &mut Vec<Directive>);
@@ -75,7 +75,7 @@ pub trait FrontEnd: Send {
     /// freshly started process would. Configuration, RNG streams, and
     /// cumulative counters survive — counters are the harness's
     /// measurement apparatus, not process memory, and continuing the RNG
-    /// stream keeps the run deterministic across shard counts.
+    /// stream keeps the run a pure function of its seed.
     fn reset(&mut self, now: SimTime);
 
     /// Short human-readable name for reports.

@@ -1,6 +1,6 @@
 //! Simulator applications: the thinner, clients, and Fig 9's bystanders.
 //!
-//! [`AppSlot`] is the crate's [`AppSet`]: the enum the sharded engine
+//! [`AppSlot`] is the crate's [`AppSet`]: the enum the simulator
 //! dispatches over so the five production agents get monomorphic (and
 //! inlinable) callbacks instead of a vtable hop per event.
 
@@ -176,7 +176,7 @@ mod tests {
             z,
             LinkConfig::new(1_000_000, SimDuration::from_millis(1)),
         );
-        let mut sim = Simulator::<AppSlot>::new_sharded_slots(b.build(), 1, vec![0, 0]);
+        let mut sim = Simulator::<AppSlot>::with_slots(b.build(), 1);
         sim.add_app(a, Box::new(Foreign { fired: 0 }));
         sim.run_until(SimTime::from_secs(1));
         assert_eq!(sim.app::<Foreign>(a).unwrap().fired, 1);

@@ -494,8 +494,8 @@ impl ThinnerAgent {
 
     /// Stamp the digest's live-auction snapshot, bump the epoch, and
     /// ship it to every peer replica as a control payload (delivered at
-    /// path propagation delay, so determinism and the lookahead matrix
-    /// hold). The replica's own board merges it immediately.
+    /// path propagation delay on the sender-keyed control lane). The
+    /// replica's own board merges it immediately.
     fn publish_digest(&mut self, ctx: &mut Ctx) {
         self.digest.epoch += 1;
         self.digest.contenders = self

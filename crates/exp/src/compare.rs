@@ -241,11 +241,10 @@ pub fn options_of(golden: &Json) -> Result<(&'static registry::Entry, RunOptions
             duration: Some(SimDuration::from_secs_f64(duration)),
             seed,
             seeds,
-            jobs: None,
-            shards: 1,
             thinners,
             sync_period,
             faults,
+            ..RunOptions::default()
         },
     ))
 }
@@ -334,7 +333,6 @@ pub fn compare_file(
     path: &str,
     tol_scale: f64,
     jobs: Option<usize>,
-    shards: u32,
     out: &mut dyn Write,
     progress: &mut dyn Write,
 ) -> std::io::Result<bool> {
@@ -366,7 +364,6 @@ pub fn compare_file(
         ));
     }
     opts.jobs = jobs;
-    opts.shards = shards;
     writeln!(
         progress,
         "compare {path}: re-running {} ({} x {}s, seed {:#x}) ...",
@@ -692,7 +689,6 @@ mod tests {
             path.to_str().expect("utf-8 temp path"),
             1.0,
             None,
-            1,
             &mut out,
             &mut progress,
         )

@@ -6,14 +6,14 @@
 //! ```text
 //! speakup list [--json]
 //! speakup run <name>... | all [--secs N] [--seed N] [--seeds K]
-//!             [--jobs N] [--shards K] [--json]
+//!             [--jobs N] [--json]
 //! speakup compare <golden.json>... [--tol X]
 //! ```
 //!
 //! `run` instantiates the entry's scenario grid and drives every grid
 //! point × seed replicate through the worker pool
-//! ([`crate::runner::run_all_pooled`]), each run optionally split over
-//! `--shards K` synchronized event loops. It prints the figure's human
+//! ([`crate::runner::run_all_pooled`]), one event loop per run. It
+//! prints the figure's human
 //! table (mean ± 95% CI across replicates when `--seeds > 1`), a
 //! per-replicate summary, and a machine-readable JSON report; `--json`
 //! suppresses the tables. `compare` re-runs a committed golden report
@@ -55,8 +55,6 @@ pub enum Command {
         tol_scale: f64,
         /// Worker pool size override.
         jobs: Option<usize>,
-        /// Shard count for the re-runs.
-        shards: u32,
     },
     /// `speakup lint`: run the determinism-audit static analysis over
     /// the workspace sources.
@@ -77,9 +75,9 @@ speakup — drive the paper's experiments from one binary
 USAGE:
     speakup list [--json]
     speakup run <name>... | all [--secs N] [--seed N] [--seeds K]
-                [--jobs N] [--shards K] [--thinners R] [--sync-period MS]
+                [--jobs N] [--thinners R] [--sync-period MS]
                 [--faults SPEC] [--fault-seed N] [--json]
-    speakup compare <golden.json>... [--tol X] [--jobs N] [--shards K]
+    speakup compare <golden.json>... [--tol X] [--jobs N]
     speakup lint [--root <dir>] [--json]
     speakup help
 
@@ -89,10 +87,8 @@ OPTIONS (run):
     --seeds K   seed replicates per grid point (default 1); with K > 1 the
                 figure tables report mean ± 95% CI across replicates
     --jobs N    worker pool size for grid points × replicates
-                (default: available cores / shards)
-    --shards K  shard event loops per run: the client population splits
-                across K synchronized loops (default 1). Reports are
-                byte-identical for every K; only wall-clock time changes.
+                (default: available cores). Reports are byte-identical
+                for every N; only wall-clock time changes.
     --thinners R
                 override the thinner replica count of every auction-mode
                 grid point: the virtual auction runs on R replicas
@@ -171,13 +167,6 @@ fn parse_secs(v: Option<&&String>) -> Result<SimDuration, String> {
 fn parse_jobs(v: Option<&&String>) -> Result<usize, String> {
     let n = flag_positive("--jobs", v)?;
     usize::try_from(n).map_err(|_| format!("--jobs {n} does not fit this platform's usize"))
-}
-
-/// `--shards K`: shared by the run and compare subcommands. Checked
-/// like `--jobs` — out-of-range values error instead of truncating.
-fn parse_shards(v: Option<&&String>) -> Result<u32, String> {
-    let n = flag_positive("--shards", v)?;
-    u32::try_from(n).map_err(|_| format!("--shards {n} does not fit in 32 bits"))
 }
 
 /// `--faults SPEC`: comma-separated fault entries, each
@@ -268,10 +257,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                         opts.jobs = Some(parse_jobs(rest.get(i + 1))?);
                         i += 2;
                     }
-                    "--shards" => {
-                        opts.shards = parse_shards(rest.get(i + 1))?;
-                        i += 2;
-                    }
                     "--thinners" => {
                         let n = flag_positive("--thinners", rest.get(i + 1))?;
                         opts.thinners = Some(
@@ -340,7 +325,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             let mut paths = Vec::new();
             let mut tol_scale = 1.0f64;
             let mut jobs = None;
-            let mut shards = 1u32;
             let rest: Vec<&String> = it.collect();
             let mut i = 0;
             while i < rest.len() {
@@ -355,10 +339,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                     }
                     "--jobs" => {
                         jobs = Some(parse_jobs(rest.get(i + 1))?);
-                        i += 2;
-                    }
-                    "--shards" => {
-                        shards = parse_shards(rest.get(i + 1))?;
                         i += 2;
                     }
                     flag if flag.starts_with('-') => {
@@ -377,7 +357,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 paths,
                 tol_scale,
                 jobs,
-                shards,
             })
         }
         "lint" => {
@@ -425,9 +404,10 @@ pub struct EntryRun {
 }
 
 /// Execute one entry: instantiate its grid with the options, run every
-/// grid point × replicate through the worker pool (each run split over
-/// `opts.shards` event loops), and render its tables.
+/// grid point × replicate through the worker pool, and render its
+/// tables.
 pub fn execute(entry: &'static Entry, opts: &RunOptions) -> EntryRun {
+    assert_eq!(opts.shards, 1, "every run is a single event loop");
     match entry.kind {
         Kind::Sim { render, .. } => {
             let duration = opts.duration_for(entry);
@@ -468,8 +448,8 @@ pub fn execute(entry: &'static Entry, opts: &RunOptions) -> EntryRun {
                     all.push(replicate);
                 }
             }
-            let jobs = opts.jobs.unwrap_or_else(|| default_jobs(opts.shards));
-            let reports = run_all_pooled(&all, jobs, opts.shards);
+            let jobs = opts.jobs.unwrap_or_else(|| default_jobs(1));
+            let reports = run_all_pooled(&all, jobs);
             let groups: Vec<Reps> = reports.chunks(opts.seeds as usize).map(Reps).collect();
             let mut text = render(&grid, &groups);
             if opts.seeds > 1 {
@@ -620,14 +600,14 @@ pub fn report_json(r: &RunReport) -> Json {
 /// Wall-clock throughput of one executed entry's runs, as the CLI-only
 /// `perf` section. Host- and load-dependent, so it is attached by
 /// [`dispatch`] after [`entry_json`] builds the deterministic payload —
-/// the goldens and the shard-invariance tests compare the latter and
-/// must stay byte-identical across machines and `--shards`.
+/// the goldens compare the latter, which must stay byte-identical
+/// across machines and `--jobs`.
 pub fn perf_json(run: &EntryRun) -> Json {
     let runs: Vec<Json> = run
         .reports
         .iter()
         .map(|r| {
-            let events: u64 = r.shard_events.iter().sum();
+            let events = r.events();
             let dispatch = r
                 .dispatch_counts
                 .iter()
@@ -857,7 +837,7 @@ pub fn dispatch(
                     // Wall-clock footer: one line per run (host-dependent
                     // diagnostics; the table above stays deterministic).
                     for r in &run.reports {
-                        let events: u64 = r.shard_events.iter().sum();
+                        let events = r.events();
                         writeln!(
                             out,
                             "perf: {} seed {}: {} events in {:.3}s wall = {:.0} events/sec",
@@ -912,12 +892,10 @@ pub fn dispatch(
             paths,
             tol_scale,
             jobs,
-            shards,
         } => {
             let mut failures = 0usize;
             for path in paths {
-                let ok =
-                    crate::compare::compare_file(path, *tol_scale, *jobs, *shards, out, progress)?;
+                let ok = crate::compare::compare_file(path, *tol_scale, *jobs, out, progress)?;
                 if !ok {
                     failures += 1;
                 }
@@ -987,11 +965,16 @@ mod tests {
     }
 
     #[test]
-    fn parses_jobs_shards_and_compare() {
-        match parse(&s(&["run", "fig3", "--jobs", "2", "--shards", "4"])).unwrap() {
+    fn parses_jobs_and_compare() {
+        match parse(&s(&["run", "fig3", "--jobs", "2"])).unwrap() {
             Command::Run { opts, .. } => {
-                assert_eq!(opts.jobs, Some(2));
-                assert_eq!(opts.shards, 4);
+                assert_eq!(
+                    opts,
+                    RunOptions {
+                        jobs: Some(2),
+                        ..RunOptions::default()
+                    }
+                );
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1000,24 +983,22 @@ mod tests {
             "golden/fig2.json",
             "--tol",
             "2.5",
-            "--shards",
-            "2",
+            "--jobs",
+            "3",
         ]))
         .unwrap()
         {
             Command::Compare {
                 paths,
                 tol_scale,
-                shards,
-                ..
+                jobs,
             } => {
                 assert_eq!(paths, vec!["golden/fig2.json"]);
                 assert!((tol_scale - 2.5).abs() < 1e-12);
-                assert_eq!(shards, 2);
+                assert_eq!(jobs, Some(3));
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert!(parse(&s(&["run", "fig3", "--shards", "0"])).is_err());
         assert!(parse(&s(&["run", "fig3", "--jobs", "0"])).is_err());
         assert!(parse(&s(&["compare"])).is_err());
         assert!(parse(&s(&["compare", "x.json", "--frobnicate"])).is_err());
@@ -1067,10 +1048,8 @@ mod tests {
             Ok(other) => panic!("unexpected {other:?}"),
             Err(e) => assert!(e.contains("does not fit"), "got: {e}"),
         }
-        // --shards and --seeds are u32 everywhere: oversized values are
-        // an error, never a silent wrap.
-        let err = parse(&s(&["run", "fig3", "--shards", &huge])).unwrap_err();
-        assert!(err.contains("does not fit"), "got: {err}");
+        // --seeds is u32 everywhere: oversized values are an error,
+        // never a silent wrap.
         let err = parse(&s(&["run", "fig3", "--seeds", &huge])).unwrap_err();
         assert!(err.contains("does not fit"), "got: {err}");
     }
@@ -1078,15 +1057,13 @@ mod tests {
     #[test]
     fn repeated_flags_take_the_last_value() {
         match parse(&s(&[
-            "run", "fig3", "--jobs", "2", "--jobs", "4", "--secs", "5", "--secs", "9", "--shards",
-            "2", "--shards", "8",
+            "run", "fig3", "--jobs", "2", "--jobs", "4", "--secs", "5", "--secs", "9",
         ]))
         .unwrap()
         {
             Command::Run { opts, .. } => {
                 assert_eq!(opts.jobs, Some(4));
                 assert_eq!(opts.duration, Some(SimDuration::from_secs(9)));
-                assert_eq!(opts.shards, 8);
             }
             other => panic!("unexpected {other:?}"),
         }

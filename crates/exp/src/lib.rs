@@ -34,5 +34,5 @@ pub mod scenarios;
 pub mod tags;
 
 pub use registry::{Entry, RunOptions};
-pub use runner::{run, run_all, run_all_pooled, run_sharded, RunReport};
+pub use runner::{run, run_all, run_all_pooled, RunReport};
 pub use scenario::{BottleneckSpec, ClientSpec, Mode, Scenario, WebSpec};

@@ -30,10 +30,12 @@ pub struct RunOptions {
     /// Seed replicates per grid point (≥ 1). With more than one, figure
     /// tables report mean ± 95% CI across the replicates.
     pub seeds: u32,
-    /// Worker pool size; `None` sizes it to the host
-    /// (`available_parallelism / shards`).
+    /// Worker pool size; `None` sizes it to the host's available
+    /// parallelism.
     pub jobs: Option<usize>,
-    /// Shard event loops per run (split client populations).
+    /// Always 1: [`crate::driver::execute`] asserts it. Every run is one
+    /// event loop; the field survives only because `perfbench` still
+    /// sets it, from when runs could be split over shard loops.
     pub shards: u32,
     /// Thinner replica override; `None` keeps each scenario's own count
     /// (1 everywhere except the replicated entries).
@@ -1157,8 +1159,7 @@ fn run_capacity(opts: &RunOptions) -> (String, Json) {
             }
         }
         let chunk = vec![0x5au8; frame];
-        // Wall-clock throughput measurement, not simulation logic (see clippy.toml).
-        #[allow(clippy::disallowed_methods)]
+        // Wall-clock throughput measurement, not simulation logic.
         let started = Instant::now();
         let mut sent = 0u64;
         while sent < total {

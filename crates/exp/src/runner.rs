@@ -1,43 +1,25 @@
 //! Build a simulator from a [`Scenario`], run it, and extract a report.
 //!
-//! Two axes of parallelism:
+//! Each run is one simulator on one event loop. Parallelism is across
+//! runs: [`run_all_pooled`] drives any number of grid points × seed
+//! replicates through a host-sized worker pool, one run per worker at a
+//! time, and returns the reports in input order.
 //!
-//! * **Across runs** — [`run_all_pooled`] drives any number of grid
-//!   points × seed replicates through a host-sized worker pool instead
-//!   of one OS thread per run, so `run_all` no longer oversubscribes
-//!   small machines.
-//! * **Within a run** — [`run_sharded`] splits one scenario's client
-//!   population over `K` shard event loops with a synchronized clock
-//!   (`speakup-net`'s conservative lookahead engine). Reports are
-//!   byte-identical for every `K`.
-//!
-//! ## Split-hub topology and placement
+//! ## Split-hub topology
 //!
 //! Direct (non-bottlenecked) clients are partitioned into *aggregation
-//! groups* — same-access-delay classes, each class split into at most
-//! [`HUB_SUBGROUPS_PER_CLASS`] subgroups. Every group gets its own hub
-//! node owning the group's client links, with a single aggregation link
-//! into the (unique) thinner. The grouping depends only on the scenario,
-//! never on `--shards`, so the topology — and therefore the report — is
-//! identical for every shard count.
+//! groups* — same-access-delay classes, each class split round-robin into
+//! at most [`HUB_SUBGROUPS_PER_CLASS`] subgroups. Every group gets its
+//! own hub node owning the group's client links, with a single
+//! aggregation link into its thinner (replica). Cohorts get a private
+//! hub of one.
 //!
 //! The access delay is carried by the *aggregation* link (the client
-//! leaf link gets the scenario's short hub-wire delay instead): each
-//! client's end-to-end path delay and every queue's rate are unchanged,
-//! but the links that cross shard boundaries are now the long ones, so
-//! the engine's pairwise lookahead between a long-RTT group's shard and
-//! the thinner's shard is that group's access delay rather than the
-//! global minimum.
-//!
-//! Placement is distance-aware: groups (and individually-placed
-//! bottlenecked clients) are sorted by delay, longest first, and split
-//! into contiguous client-count-balanced blocks over shards `1..K`, so
-//! long-RTT fig7-style clients land together and keep their wide
-//! windows. The thinner, the legacy hub (gateway + Fig 9 bystander
-//! attach point), and the bottleneck gateway stay on shard 0 — shard
-//! 0's packet work is the thinner proper. `--shards` beyond the number
-//! of placement units clamps (with a one-time warning) so no shard
-//! spins empty at every barrier.
+//! leaf link gets the scenario's short hub-wire delay instead), so each
+//! client's end-to-end path delay and every queue's rate equal those of
+//! a flat star around the thinner. The layout is part of the model: node
+//! and link ids, and so the location-keyed RNG streams, the canonical
+//! event order, and every golden, follow from it.
 
 use crate::agents::client::{ClientAgent, ClientMetrics, PaymentMode};
 use crate::agents::cohort::CohortAgent;
@@ -119,12 +101,14 @@ pub struct RunReport {
     pub wget_latencies: Option<Samples>,
     /// Per-client outcomes in scenario order.
     pub per_client: Vec<PerClient>,
-    /// Events processed per shard event loop (load-balance diagnostics;
-    /// varies with `--shards`, so deliberately absent from the JSON
-    /// report, which must be shard-count invariant).
+    /// Exactly one entry: the events the run's loop processed (`perf`
+    /// diagnostics, absent from the deterministic report payload). A
+    /// one-element list only because `perfbench` sums it from the days
+    /// when a run could span several shard loops; that is its sole
+    /// reason to exist.
     pub shard_events: Vec<u64>,
     /// Application callbacks per [`AppSlot`] variant (dispatch-share
-    /// diagnostics; absent from the shard-count-invariant JSON report).
+    /// diagnostics; absent from the deterministic report payload).
     pub dispatch_counts: Vec<(&'static str, u64)>,
     /// Wall-clock seconds the simulation loop took (host- and
     /// load-dependent, so only surfaced by the CLI `perf` footer, never
@@ -133,6 +117,11 @@ pub struct RunReport {
 }
 
 impl RunReport {
+    /// Events the run's loop processed.
+    pub fn events(&self) -> u64 {
+        self.shard_events.iter().sum()
+    }
+
     /// Fraction of completed requests that belonged to good clients.
     pub fn good_fraction(&self) -> f64 {
         self.allocation.good_fraction()
@@ -215,16 +204,9 @@ fn build_front_end(
     }
 }
 
-/// Run one scenario to completion on a single event loop.
-pub fn run(scenario: &Scenario) -> RunReport {
-    run_sharded(scenario, 1)
-}
-
-/// Default upper bound on aggregation subgroups per access-delay class:
-/// the parallelism ceiling of a delay-homogeneous population. Tunable
-/// per scenario via [`Scenario::hub_subgroups_per_class`] — a scenario
-/// property rather than a CLI flag, so the topology (and the report)
-/// never depends on `--shards`.
+/// Upper bound on aggregation subgroups per access-delay class. Fixed:
+/// the subgroup count shapes the topology, and with it node ids and
+/// every report.
 pub const HUB_SUBGROUPS_PER_CLASS: usize = 16;
 
 /// One aggregation group: a hub node's worth of direct clients sharing
@@ -238,8 +220,7 @@ struct HubGroup {
 
 /// Group the direct (non-bottlenecked) clients into aggregation groups:
 /// exact access-delay classes, each split round-robin into at most
-/// [`Scenario::hub_subgroups_per_class`] subgroups. Deterministic and
-/// independent of the shard count.
+/// [`HUB_SUBGROUPS_PER_CLASS`] subgroups. Deterministic.
 fn hub_groups(scenario: &Scenario) -> Vec<HubGroup> {
     let mut classes: std::collections::BTreeMap<u64, Vec<usize>> =
         std::collections::BTreeMap::new();
@@ -251,10 +232,9 @@ fn hub_groups(scenario: &Scenario) -> Vec<HubGroup> {
                 .push(i);
         }
     }
-    let cap = scenario.hub_subgroups_per_class.max(1);
     let mut groups = Vec::new();
     for (delay, members) in classes {
-        let n_sub = members.len().min(cap);
+        let n_sub = members.len().min(HUB_SUBGROUPS_PER_CLASS);
         let first = groups.len();
         groups.extend((0..n_sub).map(|_| HubGroup {
             delay: SimDuration::from_nanos(delay),
@@ -267,57 +247,8 @@ fn hub_groups(scenario: &Scenario) -> Vec<HubGroup> {
     groups
 }
 
-/// Split `weights.len()` units into `parts` contiguous blocks with
-/// roughly equal total weight, every block non-empty. Returns the block
-/// index per unit. Requires `1 <= parts <= weights.len()`.
-fn partition_units(weights: &[usize], parts: usize) -> Vec<usize> {
-    assert!(parts >= 1 && parts <= weights.len(), "parts must fit units");
-    let total: usize = weights.iter().sum::<usize>().max(1);
-    let mut out = vec![0; weights.len()];
-    let mut part = 0usize;
-    let mut cum = 0usize;
-    let mut in_part = 0usize;
-    for (i, &w) in weights.iter().enumerate() {
-        let units_left = weights.len() - i;
-        let parts_after = parts - part - 1;
-        if part + 1 < parts
-            && in_part > 0
-            && (units_left <= parts_after || cum * parts >= (part + 1) * total)
-        {
-            part += 1;
-            in_part = 0;
-        }
-        out[i] = part;
-        in_part += 1;
-        cum += w;
-    }
-    out
-}
-
-/// Warn that `--shards` exceeded the scenario's placement units and was
-/// clamped — once per distinct `(requested, effective)` pair, so grid
-/// points and seed replicates of one scenario don't spam while
-/// differently-sized scenarios in the same invocation each still report
-/// their own effective count.
-fn warn_shards_clamped(requested: u32, effective: u32) {
-    use std::sync::Mutex;
-    static SEEN: Mutex<Vec<(u32, u32)>> = Mutex::new(Vec::new());
-    let mut seen = SEEN.lock().expect("clamp warning lock poisoned");
-    if seen.contains(&(requested, effective)) {
-        return;
-    }
-    seen.push((requested, effective));
-    eprintln!(
-        "warning: --shards {requested} exceeds the scenario's parallel units; \
-         clamping to {effective} (further shards would own no nodes and only \
-         spin at every barrier window)"
-    );
-}
-
-/// Run one scenario with its client population split over `shards` event
-/// loops (1 = the classic single loop). The report is byte-identical for
-/// every shard count; sharding only changes wall-clock time.
-pub fn run_sharded(scenario: &Scenario, shards: u32) -> RunReport {
+/// Run one scenario to completion.
+pub fn run(scenario: &Scenario) -> RunReport {
     assert!(
         !scenario.clients.is_empty() || !scenario.cohorts.is_empty(),
         "scenario has no clients"
@@ -333,7 +264,6 @@ pub fn run_sharded(scenario: &Scenario, shards: u32) -> RunReport {
         "scenario {:?} has a zero duration: rates would be NaN",
         scenario.name
     );
-    let shards = shards.max(1);
     let groups = hub_groups(scenario);
 
     // ---- topology ----
@@ -454,9 +384,7 @@ pub fn run_sharded(scenario: &Scenario, shards: u32) -> RunReport {
     }
     // Replica peer mesh: a full-duplex control lane between every
     // replica pair. Digests are tiny and rare, so the provisioning only
-    // sets the control-packet path delay — and, because the links cross
-    // shard boundaries, the 500 µs delay is also the pairwise lookahead
-    // between replica shards.
+    // sets the control-packet path delay (500 µs).
     if r_count > 1 {
         let mesh = LinkConfig::new(1_000_000_000, SimDuration::from_micros(500));
         for i in 0..replica_nodes.len() {
@@ -466,107 +394,7 @@ pub fn run_sharded(scenario: &Scenario, shards: u32) -> RunReport {
         }
     }
 
-    // ---- shard plan ----
-    // Placement units: one per aggregation group (weight = member
-    // count), one per bottlenecked client (the shared gateway itself
-    // stays on shard 0). Sorted by delay, longest RTT first, and split
-    // into contiguous balanced blocks over shards 1..K so long-delay
-    // clients land together and keep their wide lookahead windows.
-    let bottlenecked: Vec<usize> = (0..scenario.clients.len())
-        .filter(|&i| group_of_client[i].is_none())
-        .collect();
-    // Unit kinds, chosen so the sort tiebreak below preserves the
-    // pre-cohort ordering exactly (bottlenecked < group) and slots
-    // cohorts after same-delay groups.
-    const UNIT_BOTTLENECKED: u8 = 0;
-    const UNIT_GROUP: u8 = 1;
-    const UNIT_COHORT: u8 = 2;
-    let mut units: Vec<(SimDuration, usize, u8)> = groups
-        .iter()
-        .enumerate()
-        .map(|(g, group)| (group.delay, g, UNIT_GROUP))
-        .chain(
-            bottlenecked
-                .iter()
-                .map(|&i| (scenario.clients[i].access_delay, i, UNIT_BOTTLENECKED)),
-        )
-        .chain(
-            scenario
-                .cohorts
-                .iter()
-                .enumerate()
-                .map(|(c, spec)| (spec.spec.access_delay, c, UNIT_COHORT)),
-        )
-        .collect();
-    units.sort_by(|a, b| b.0.cmp(&a.0).then(a.2.cmp(&b.2)).then(a.1.cmp(&b.1)));
-    let topo = b.build();
-    let mut assignment = vec![0u32; topo.node_count() as usize];
-    let client_shards = (shards.saturating_sub(1) as usize).min(units.len());
-    if shards as usize > client_shards + 1 {
-        warn_shards_clamped(shards, client_shards as u32 + 1);
-    }
-    if client_shards >= 1 {
-        let weights: Vec<usize> = units
-            .iter()
-            .map(|&(_, id, kind)| match kind {
-                UNIT_GROUP => groups[id].members.len(),
-                UNIT_COHORT => scenario.cohorts[id].members as usize,
-                _ => 1,
-            })
-            .collect();
-        let parts = partition_units(&weights, client_shards);
-        for (&(_, id, kind), &part) in units.iter().zip(&parts) {
-            let shard = 1 + part as u32;
-            match kind {
-                UNIT_GROUP => {
-                    assignment[group_hubs[id].0 as usize] = shard;
-                    for &c in &groups[id].members {
-                        assignment[client_nodes[c].0 as usize] = shard;
-                    }
-                }
-                UNIT_COHORT => {
-                    assignment[cohort_hubs[id].0 as usize] = shard;
-                    assignment[cohort_nodes[id].0 as usize] = shard;
-                }
-                _ => assignment[client_nodes[id].0 as usize] = shard,
-            }
-        }
-    }
-    // With replicas, each thinner (replica 0 = the classic thinner node
-    // included) moves to the shard holding the plurality of its clients:
-    // a replica's payment traffic then stays intra-shard, and shard 0
-    // keeps only the legacy hub/gateway relay work. Single-thinner runs
-    // keep the thinner on shard 0 exactly as before.
-    if r_count > 1 {
-        for (r, &rn) in replica_nodes.iter().enumerate() {
-            let mut weight_by_shard: std::collections::BTreeMap<u32, usize> =
-                std::collections::BTreeMap::new();
-            for (g, group) in groups.iter().enumerate() {
-                if g % r_count == r {
-                    *weight_by_shard
-                        .entry(assignment[group_hubs[g].0 as usize])
-                        .or_default() += group.members.len();
-                }
-            }
-            for (c, spec) in scenario.cohorts.iter().enumerate() {
-                if c % r_count == r {
-                    *weight_by_shard
-                        .entry(assignment[cohort_nodes[c].0 as usize])
-                        .or_default() += spec.members as usize;
-                }
-            }
-            // Plurality shard; BTreeMap order + strict `>` break ties
-            // toward the smallest shard id.
-            let mut best = (0u32, 0usize);
-            for (&shard, &w) in &weight_by_shard {
-                if w > best.1 {
-                    best = (shard, w);
-                }
-            }
-            assignment[rn.0 as usize] = best.0;
-        }
-    }
-    let mut sim = Simulator::<AppSlot>::new_sharded_slots(topo, scenario.seed, assignment);
+    let mut sim = Simulator::<AppSlot>::with_slots(b.build(), scenario.seed);
 
     // ---- agents ----
     // Thinner-visible identities: one per fully simulated client, then
@@ -698,9 +526,8 @@ pub fn run_sharded(scenario: &Scenario, shards: u32) -> RunReport {
 
     // ---- faults ----
     // Resolve the declarative specs against the topology just built and
-    // hand the schedule to the simulator, which routes each entry to its
-    // owner shard on the canonical fault lanes — the same fault trace at
-    // every `--shards` count.
+    // hand the schedule to the simulator, which queues each entry on the
+    // canonical fault lanes.
     let end = SimTime::ZERO + scenario.duration;
     if !scenario.faults.is_empty() {
         let mut schedule = FaultSchedule::new();
@@ -733,8 +560,7 @@ pub fn run_sharded(scenario: &Scenario, shards: u32) -> RunReport {
     }
 
     // ---- run ----
-    // Wall-clock perf footer, not simulation logic (see clippy.toml).
-    #[allow(clippy::disallowed_methods)]
+    // Wall-clock perf footer timing, never part of the report payload.
     let wall_start = std::time::Instant::now();
     sim.run_until(end);
     let wall_secs = wall_start.elapsed().as_secs_f64();
@@ -877,31 +703,32 @@ pub fn run_sharded(scenario: &Scenario, shards: u32) -> RunReport {
                 .clone()
         }),
         per_client,
-        shard_events: sim.shard_event_counts(),
+        shard_events: vec![sim.events_processed()],
         dispatch_counts: sim.dispatch_counts(),
         wall_secs,
     };
     report
 }
 
-/// The default worker count for a given shard depth: the host's
-/// available parallelism divided by the threads each run uses, at least 1.
-pub fn default_jobs(shards: u32) -> usize {
-    let cores = std::thread::available_parallelism()
+/// The default worker count: the host's available parallelism, at
+/// least 1. The argument is ignored; it survives only because
+/// `perfbench` calls `default_jobs(1)`, from when it was the shard
+/// depth each run's threads were divided by.
+pub fn default_jobs(_per_run: u32) -> usize {
+    std::thread::available_parallelism()
         .map(|n| n.get())
-        .unwrap_or(1);
-    (cores / shards.max(1) as usize).max(1)
+        .unwrap_or(1)
 }
 
 /// Run several scenarios in parallel on a host-sized worker pool.
 pub fn run_all(scenarios: &[Scenario]) -> Vec<RunReport> {
-    run_all_pooled(scenarios, default_jobs(1), 1)
+    run_all_pooled(scenarios, default_jobs(1))
 }
 
-/// Run scenarios through a pool of `jobs` workers, each run split over
-/// `shards` event loops (so up to `jobs × shards` threads are live).
-/// Results come back in input order regardless of completion order.
-pub fn run_all_pooled(scenarios: &[Scenario], jobs: usize, shards: u32) -> Vec<RunReport> {
+/// Run scenarios through a pool of `jobs` workers, one run per worker
+/// at a time. Results come back in input order regardless of
+/// completion order.
+pub fn run_all_pooled(scenarios: &[Scenario], jobs: usize) -> Vec<RunReport> {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
 
@@ -910,7 +737,7 @@ pub fn run_all_pooled(scenarios: &[Scenario], jobs: usize, shards: u32) -> Vec<R
         return Vec::new();
     }
     if jobs == 1 {
-        return scenarios.iter().map(|sc| run_sharded(sc, shards)).collect();
+        return scenarios.iter().map(run).collect();
     }
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<RunReport>>> = scenarios.iter().map(|_| Mutex::new(None)).collect();
@@ -921,7 +748,7 @@ pub fn run_all_pooled(scenarios: &[Scenario], jobs: usize, shards: u32) -> Vec<R
                 let Some(sc) = scenarios.get(i) else {
                     break;
                 };
-                let report = run_sharded(sc, shards);
+                let report = run(sc);
                 *slots[i].lock().expect("slot poisoned") = Some(report);
             });
         }
@@ -960,70 +787,6 @@ mod tests {
         // fig9: every client is bottlenecked -> no groups, and the
         // topology stays byte-for-byte the pre-split one.
         assert!(hub_groups(&scenarios::fig9(1024, true)).is_empty());
-    }
-
-    #[test]
-    fn partition_is_contiguous_balanced_and_never_empty() {
-        for (weights, parts) in [
-            (vec![10, 1, 1], 3),
-            (vec![1; 6], 3),
-            (vec![5, 1, 1, 1], 2),
-            (vec![1, 1, 5, 1], 2),
-            (vec![3], 1),
-            (vec![2; 16], 7),
-        ] {
-            let out = partition_units(&weights, parts);
-            assert_eq!(out.len(), weights.len());
-            // Contiguous and monotone, covering exactly 0..parts.
-            assert!(out.windows(2).all(|w| w[0] <= w[1] && w[1] - w[0] <= 1));
-            assert_eq!(out[0], 0);
-            assert_eq!(*out.last().unwrap(), parts - 1, "{weights:?}/{parts}");
-        }
-    }
-
-    #[test]
-    fn oversized_shard_requests_clamp_to_the_unit_count() {
-        // profiling: 10 clients, one delay class -> 10 units. --shards 64
-        // must still produce a dense assignment (11 shards max) and the
-        // same report as a single loop.
-        let mut sc = scenarios::profiling_comparison(crate::scenario::Mode::Auction, false);
-        sc.duration = SimDuration::from_secs(1);
-        let single = run(&sc);
-        let clamped = run_sharded(&sc, 64);
-        assert_eq!(clamped.shard_events.len(), 11, "10 units + shard 0");
-        assert_eq!(single.allocation.good, clamped.allocation.good);
-        assert_eq!(single.allocation.bad, clamped.allocation.bad);
-        assert_eq!(single.payment_bytes_total, clamped.payment_bytes_total);
-    }
-
-    #[test]
-    fn raised_subgroup_cap_changes_placement_but_not_results() {
-        // fig2's 50 direct clients form one delay class. Raising the cap
-        // from the default 16 to 32 doubles the aggregation groups — more
-        // parallel placement units — without changing what the run
-        // measures: end-to-end client delays and per-queue rates are
-        // preserved, only how clients share (uncontended) aggregation
-        // links shifts.
-        let mut base = scenarios::fig2(0.5, crate::scenario::Mode::Auction);
-        base.duration = SimDuration::from_secs(2);
-        let raised = base.clone().hub_subgroups_per_class(32);
-        assert_eq!(hub_groups(&base).len(), HUB_SUBGROUPS_PER_CLASS);
-        assert_eq!(hub_groups(&raised).len(), 32, "cap no longer binds at 32");
-        // More groups ⇒ more placement units ⇒ a raised cap admits more
-        // shards before clamping.
-        let wide = run_sharded(&raised, 33);
-        assert_eq!(wide.shard_events.len(), 33, "32 units + shard 0");
-        let a = run(&base);
-        let b = run(&raised);
-        assert_eq!(a.allocation.good, b.allocation.good);
-        assert_eq!(a.allocation.bad, b.allocation.bad);
-        assert_eq!(a.payment_bytes_total, b.payment_bytes_total);
-        assert_eq!(a.thinner_drops, b.thinner_drops);
-        assert_eq!(
-            (wide.allocation.good, wide.allocation.bad),
-            (a.allocation.good, a.allocation.bad),
-            "sharded raised-cap run diverged"
-        );
     }
 
     #[test]

@@ -9,15 +9,13 @@
 //!    simulated population within the existing `speakup compare`
 //!    tolerances (the statistical claim: superposing N Poisson arrival
 //!    processes and aggregating the access link preserves the figure).
-//! 3. `fig2_xl`'s cohort topology keeps the engine's core invariant:
-//!    reports are byte-identical at every `--shards` count.
 
 use speakup_core::client::ClientProfile;
+use speakup_exp::compare;
 use speakup_exp::driver::report_json;
 use speakup_exp::json::Json;
-use speakup_exp::runner::{run, run_sharded, RunReport};
+use speakup_exp::runner::{run, RunReport};
 use speakup_exp::scenario::{ClientSpec, Mode, Scenario};
-use speakup_exp::{compare, scenarios};
 use speakup_net::time::SimDuration;
 
 /// A contended one-client scenario: capacity below demand so the run
@@ -36,11 +34,11 @@ fn solo_scenario(profile: ClientProfile, mode: Mode, seed: u64, cohort: bool) ->
 }
 
 /// Events processed and application callbacks dispatched, summed across
-/// shards/variants. The *variant* labels legitimately differ (one run
+/// variants. The *variant* labels legitimately differ (one run
 /// dispatches to `client`, the other to `cohort`): what must agree is
 /// how much work the simulation did.
 fn totals(r: &RunReport) -> (u64, u64) {
-    let events: u64 = r.shard_events.iter().sum();
+    let events = r.events();
     let dispatch: u64 = r.dispatch_counts.iter().map(|&(_, n)| n).sum();
     (events, dispatch)
 }
@@ -173,21 +171,4 @@ fn small_n_cohorts_match_full_simulation_statistically() {
             .collect::<Vec<_>>()
             .join("\n")
     );
-}
-
-/// `fig2_xl`'s mixed topology (foreground clients + cohort nodes) must
-/// keep the engine's core determinism guarantee: the report is
-/// byte-identical no matter how the population splits across shards.
-#[test]
-fn fig2_xl_reports_are_shard_count_invariant() {
-    let scenario = scenarios::fig2_xl_sized(4, 4, 25).duration(SimDuration::from_secs(2));
-    assert_eq!(scenario.population(), 208);
-    let baseline = report_json(&run_sharded(&scenario, 1)).pretty();
-    for shards in [2, 4] {
-        let sharded = report_json(&run_sharded(&scenario, shards)).pretty();
-        assert_eq!(
-            baseline, sharded,
-            "fig2_xl report changed at --shards {shards}"
-        );
-    }
 }

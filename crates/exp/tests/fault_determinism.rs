@@ -3,9 +3,9 @@
 //! 1. A faulted run is still a deterministic simulation. Fault events
 //!    enter the engine in canonical `(time, lane, seq)` order, so for
 //!    *random* schedules — crash victim × crash instant × outage length
-//!    × link-flap seed — the serialized report must be byte-identical
-//!    across `--shards {1,2,4}` at every replica count `{1,2,4}` the
-//!    schedule applies to.
+//!    × link-flap seed — a same-seed repeat run must serialize
+//!    byte-identically (with identical event counts) at every replica
+//!    count `{1,2,4}` the schedule applies to.
 //! 2. Failover fidelity: at R=2 with one replica crashed for the rest
 //!    of the run, the survivor detects the silent digest, absorbs the
 //!    dead replica's capacity share, and the run's allocation lands
@@ -16,7 +16,7 @@
 
 use speakup_exp::driver::report_json;
 use speakup_exp::registry::FAULT_GOODPUT_BAND;
-use speakup_exp::runner::{run_sharded, RunReport};
+use speakup_exp::runner::{run, RunReport};
 use speakup_exp::scenario::Mode;
 use speakup_exp::scenarios;
 use speakup_net::time::{SimDuration, SimTime};
@@ -27,19 +27,19 @@ fn payload(r: &RunReport) -> String {
     report_json(r).pretty()
 }
 
-mod shard_invariance {
+mod repeat {
     use super::*;
     use proptest::prelude::*;
 
     proptest! {
-        // Each case runs 3 replica counts x 3 shard widths of a
-        // 3-second simulation; keep the count test-suite sized.
+        // Each case runs 3 replica counts x 2 repeats of a 3-second
+        // simulation; keep the count test-suite sized.
         #![proptest_config(ProptestConfig::with_cases(6))]
 
-        /// Random fault schedules are invariant to how the population
-        /// splits across shards, for every replica count.
+        /// Random fault schedules reproduce exactly from the scenario
+        /// and its seed, for every replica count.
         #[test]
-        fn faulted_runs_are_shard_invariant(
+        fn faulted_runs_are_reproducible(
             crash_at_ms in 200u64..2500,
             down_ms in 100u64..2000,
             victim in 0u32..4,
@@ -60,28 +60,24 @@ mod shard_invariance {
                         SimTime::from_nanos(crash_at_ms * 1_000_000),
                         SimDuration::from_millis(down_ms),
                     );
-                let base = payload(&run_sharded(&sc, 1));
-                for shards in [2u32, 4] {
-                    let sharded = payload(&run_sharded(&sc, shards));
-                    prop_assert_eq!(
-                        &base,
-                        &sharded,
-                        "R={} crash@{}ms+{}ms flap seed {:#x}: report changed \
-                         between --shards 1 and --shards {}",
-                        thinners,
-                        crash_at_ms,
-                        down_ms,
-                        flap_seed,
-                        shards
-                    );
-                }
+                let (first, again) = (run(&sc), run(&sc));
+                prop_assert_eq!(
+                    (payload(&first), first.events(), &first.dispatch_counts),
+                    (payload(&again), again.events(), &again.dispatch_counts),
+                    "R={} crash@{}ms+{}ms flap seed {:#x}: a same-seed repeat \
+                     run diverged",
+                    thinners,
+                    crash_at_ms,
+                    down_ms,
+                    flap_seed
+                );
             }
         }
     }
 }
 
 /// Control for the battery's sensitivity: injecting a crash must
-/// actually change the serialized report — otherwise the invariance
+/// actually change the serialized report — otherwise the repeat
 /// property above would hold vacuously on a fault path that never runs.
 #[test]
 fn injected_faults_change_behavior() {
@@ -93,8 +89,8 @@ fn injected_faults_change_behavior() {
         .clone()
         .crash_replica(1, SimTime::from_secs(1), SimDuration::from_secs(1));
     assert_ne!(
-        payload(&run_sharded(&clean, 1)),
-        payload(&run_sharded(&faulted, 1)),
+        payload(&run(&clean)),
+        payload(&run(&faulted)),
         "a mid-run replica crash serialized identically to a clean run"
     );
 }
@@ -106,20 +102,14 @@ fn injected_faults_change_behavior() {
 /// the auction.
 #[test]
 fn crashed_replica_at_r2_degrades_to_the_classic_engine() {
-    let classic = run_sharded(
-        &scenarios::fig2(0.5, Mode::Auction).duration(SimDuration::from_secs(10)),
-        1,
-    );
-    let faulted = run_sharded(
-        &scenarios::fig2(0.5, Mode::Auction)
-            .duration(SimDuration::from_secs(10))
-            .thinners(2)
-            .sync_period(SimDuration::from_millis(10))
-            // Down for 9 s from t=2: the restart lands past the end of
-            // the run, so the survivor carries the load alone.
-            .crash_replica(1, SimTime::from_secs(2), SimDuration::from_secs(9)),
-        1,
-    );
+    let classic = run(&scenarios::fig2(0.5, Mode::Auction).duration(SimDuration::from_secs(10)));
+    let faulted = run(&scenarios::fig2(0.5, Mode::Auction)
+        .duration(SimDuration::from_secs(10))
+        .thinners(2)
+        .sync_period(SimDuration::from_millis(10))
+        // Down for 9 s from t=2: the restart lands past the end of
+        // the run, so the survivor carries the load alone.
+        .crash_replica(1, SimTime::from_secs(2), SimDuration::from_secs(9)));
     let f = faulted
         .failover
         .as_ref()

@@ -1,22 +1,17 @@
 //! Differential battery for replicated thinners.
 //!
-//! Two determinism obligations and one fidelity obligation:
+//! One determinism obligation and one fidelity obligation:
 //!
 //! 1. `--thinners 1` is the classic engine, byte for byte: for each of
 //!    the four golden workloads, an explicit single-replica run must
-//!    serialize identically to the unmodified scenario at every shard
-//!    width the CI sweep uses.
-//! 2. `--thinners R` for R > 1 is still a deterministic simulation: its
-//!    report must be invariant to `--shards` (the digest exchange rides
-//!    ordinary control packets at path delay, so the conservative
-//!    lookahead engine must not reorder it).
-//! 3. Fairness regression: the replicated auction's good-client
+//!    serialize identically to the unmodified scenario.
+//! 2. Fairness regression: the replicated auction's good-client
 //!    allocation must stay within the committed band of the R = 1
 //!    baseline on the fig2_replicated grid.
 
 use speakup_exp::driver::report_json;
 use speakup_exp::registry::{find, FAIRNESS_BAND};
-use speakup_exp::runner::{run_sharded, RunReport};
+use speakup_exp::runner::{run, RunReport};
 use speakup_exp::scenario::{Mode, Scenario};
 use speakup_exp::scenarios;
 use speakup_net::time::SimDuration;
@@ -28,7 +23,7 @@ fn payload(r: &RunReport) -> String {
 }
 
 /// One representative scenario per committed golden workload, shortened
-/// so the 4 workloads × 4 shard widths battery stays test-suite sized.
+/// so the battery stays test-suite sized.
 fn golden_workloads() -> Vec<Scenario> {
     vec![
         scenarios::fig2(0.5, Mode::Auction).duration(SimDuration::from_secs(3)),
@@ -41,33 +36,13 @@ fn golden_workloads() -> Vec<Scenario> {
 #[test]
 fn single_replica_is_byte_identical_to_the_classic_engine() {
     for sc in golden_workloads() {
-        let classic = payload(&run_sharded(&sc, 1));
-        for shards in [1u32, 2, 4, 8] {
-            let explicit = payload(&run_sharded(&sc.clone().thinners(1), shards));
-            assert_eq!(
-                classic, explicit,
-                "{}: --thinners 1 --shards {shards} diverged from the classic engine",
-                sc.name
-            );
-        }
-    }
-}
-
-#[test]
-fn replicated_runs_are_shard_invariant() {
-    for r in [2u32, 4] {
-        let sc = scenarios::fig2(0.5, Mode::Auction)
-            .duration(SimDuration::from_secs(3))
-            .thinners(r)
-            .sync_period(SimDuration::from_millis(10));
-        let base = payload(&run_sharded(&sc, 1));
-        for shards in [2u32, 4, 8] {
-            let sharded = payload(&run_sharded(&sc, shards));
-            assert_eq!(
-                base, sharded,
-                "R={r}: report changed between --shards 1 and --shards {shards}"
-            );
-        }
+        let classic = payload(&run(&sc));
+        let explicit = payload(&run(&sc.clone().thinners(1)));
+        assert_eq!(
+            classic, explicit,
+            "{}: --thinners 1 diverged from the classic engine",
+            sc.name
+        );
     }
 }
 
@@ -77,13 +52,11 @@ fn replica_payloads_change_behavior_only_above_one() {
     // the serialization ignored what the replicas do. R=2 must actually
     // move at least one checked field vs R=1 on the same scenario.
     let sc = scenarios::fig2(0.5, Mode::Auction).duration(SimDuration::from_secs(3));
-    let one = payload(&run_sharded(&sc, 1));
-    let two = payload(&run_sharded(
-        &sc.clone()
-            .thinners(2)
-            .sync_period(SimDuration::from_millis(10)),
-        1,
-    ));
+    let one = payload(&run(&sc));
+    let two = payload(&run(&sc
+        .clone()
+        .thinners(2)
+        .sync_period(SimDuration::from_millis(10))));
     assert_ne!(one, two, "R=2 serialized identically to R=1");
 }
 
@@ -97,7 +70,7 @@ fn fairness_stays_within_the_committed_band() {
     let grid = entry.build_grid();
     let reports: Vec<RunReport> = grid
         .iter()
-        .map(|sc| run_sharded(&sc.clone().duration(SimDuration::from_secs(10)), 1))
+        .map(|sc| run(&sc.clone().duration(SimDuration::from_secs(10))))
         .collect();
     let baseline = reports
         .iter()

@@ -1,8 +1,9 @@
 #![forbid(unsafe_code)]
 //! `speakup-lint` — the workspace's determinism-audit static analysis.
 //!
-//! The engine promises byte-identical reports at every `--shards K`.
-//! Goldens and proptest oracles check that promise dynamically; this
+//! The engine promises reports that are a pure function of the scenario
+//! and its seed. Goldens and proptest oracles check that promise
+//! dynamically; this
 //! crate checks its preconditions statically, on every `cargo test` and
 //! as a blocking CI step, so a stray `HashMap` iteration or wall-clock
 //! read fails in seconds instead of after a golden run. See

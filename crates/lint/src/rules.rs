@@ -1,8 +1,8 @@
 //! The determinism-audit rule set.
 //!
-//! Every rule turns one of the engine's run-time invariants (byte-identical
-//! reports at every `--shards K`, reproducible allocation outcomes) into a
-//! compile-time gate. Rules are lexical: they pattern-match the token
+//! Every rule turns one of the engine's run-time invariants (reports that
+//! are a pure function of scenario and seed, reproducible allocation
+//! outcomes) into a compile-time gate. Rules are lexical: they pattern-match the token
 //! stream from [`crate::lexer`], scoped by workspace-relative path and by
 //! whether a token sits inside a `#[cfg(test)] mod`. The escape hatch is
 //! an annotation on the same or the preceding line:
@@ -19,6 +19,7 @@
 //! | rule          | invariant it guards                                   |
 //! |---------------|-------------------------------------------------------|
 //! | `wall-clock`  | no `Instant`/`SystemTime` in deterministic lib code   |
+//! |               | or the `crates/exp` simulator agents                  |
 //! | `hash-iter`   | no order-dependent `HashMap`/`HashSet` iteration      |
 //! | `entropy-rng` | no entropy-seeded RNG anywhere (location-keyed PCG)   |
 //! | `cast`        | no bare `as` integer casts on `crates/net` lib code   |
@@ -88,7 +89,8 @@ pub struct RuleInfo {
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "wall-clock",
-        summary: "no Instant/SystemTime in crates/net + crates/core lib code",
+        summary: "no Instant/SystemTime in crates/net + crates/core lib code or the \
+                  crates/exp agents",
         severity: Severity::Error,
     },
     RuleInfo {
@@ -138,6 +140,13 @@ pub fn is_known_rule(id: &str) -> bool {
 /// network proxy, wall clock is its job) are deliberately outside.
 fn is_deterministic_lib(rel: &str) -> bool {
     rel.starts_with("crates/net/src/") || rel.starts_with("crates/core/src/")
+}
+
+/// The `wall-clock` rule's scope: the deterministic libs plus the `exp`
+/// simulator agents, which are simulation logic although their crate
+/// also hosts the (host-timed) driver.
+fn is_wall_clock_scoped(rel: &str) -> bool {
+    is_deterministic_lib(rel) || rel.starts_with("crates/exp/src/agents/")
 }
 
 /// `crates/net` lib sources (the `cast` rule's scope).
@@ -347,9 +356,10 @@ fn mark_test_regions(f: &mut File<'_>) {
 // The rules.
 // ---------------------------------------------------------------------
 
-/// D1 — `wall-clock`: `Instant` / `SystemTime` in deterministic lib code.
+/// D1 — `wall-clock`: `Instant` / `SystemTime` in deterministic lib code
+/// and the simulator agents.
 fn check_wall_clock(f: &File<'_>, out: &mut Vec<Diagnostic>) {
-    if !is_deterministic_lib(f.rel) {
+    if !is_wall_clock_scoped(f.rel) {
         return;
     }
     for i in 0..f.toks.len() {

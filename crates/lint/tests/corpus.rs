@@ -13,6 +13,10 @@ use std::path::Path;
 /// Fixture stem → the workspace-relative path it pretends to live at.
 const PRETEND_PATHS: &[(&str, &str)] = &[
     ("wall_clock", "crates/net/src/wall_clock.rs"),
+    (
+        "agent_wall_clock",
+        "crates/exp/src/agents/agent_wall_clock.rs",
+    ),
     ("hash_iter", "crates/core/src/hash_iter.rs"),
     ("entropy_rng", "crates/exp/src/entropy_rng.rs"),
     ("cast", "crates/net/src/cast.rs"),
@@ -45,6 +49,12 @@ fn rule_lines(diags: &[Diagnostic]) -> Vec<(&str, u32)> {
 fn bad_wall_clock_flags_every_instant() {
     let d = lint_fixture("bad", "wall_clock");
     assert_eq!(rule_lines(&d), vec![("wall-clock", 2), ("wall-clock", 3)]);
+}
+
+#[test]
+fn bad_agent_wall_clock_flags_instant_in_simulator_agents() {
+    let d = lint_fixture("bad", "agent_wall_clock");
+    assert_eq!(rule_lines(&d), vec![("wall-clock", 5), ("wall-clock", 6)]);
 }
 
 #[test]

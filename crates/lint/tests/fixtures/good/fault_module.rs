@@ -8,7 +8,7 @@ pub struct FaultSchedule {
 
 impl FaultSchedule {
     // One stream per faulted entity: the schedule is a pure function of
-    // (seed, entity), independent of sharding or host.
+    // (seed, entity), independent of iteration order or host.
     pub fn per_link_stream(seed: u64, link: u64) -> Pcg32 {
         Pcg32::new(seed, link)
     }

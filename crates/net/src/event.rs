@@ -3,10 +3,10 @@
 //! ## Determinism contract
 //!
 //! Events pop in ascending `(time, lane, seq)` order. The *lane* is a
-//! caller-chosen canonical key (the sharded engine uses the link, node,
-//! or flow an event belongs to) that totally orders same-time events the
-//! same way no matter which shard's queue they sit in — the property the
-//! split-population engine needs for `--shards K`-invariant results. The
+//! caller-chosen canonical key (the simulator uses the link, node, flow,
+//! control stream, or fault target an event belongs to) that orders
+//! same-time events of different entities by identity rather than by
+//! which callback happened to schedule them first. The
 //! sequence number breaks remaining ties in insertion order, which makes
 //! runs deterministic: two events scheduled for the same instant and lane
 //! always fire in the order they were scheduled, regardless of queue
@@ -308,7 +308,7 @@ impl<E> EventQueue<E> {
     /// Pop the earliest non-cancelled event if it fires strictly before
     /// `limit`. One settle serves both the bound check and the pop,
     /// where a `peek_time` + `pop` pairing settles twice per event —
-    /// this is the shard event loop's hot call.
+    /// this is the event loop's hot call.
     pub fn pop_before(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
         self.settle();
         if self.ready.peek()?.time >= limit {

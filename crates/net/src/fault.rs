@@ -4,13 +4,12 @@
 //! either explicitly (scenario- or CLI-driven) or derived from a seed via
 //! the same location-keyed PCG streams the rest of the engine uses: each
 //! link or node draws its flap times from its own stream, so a schedule
-//! is a pure function of `(seed, entity)` — independent of shard count,
-//! iteration order, and every other entity's schedule.
+//! is a pure function of `(seed, entity)` — independent of iteration
+//! order and of every other entity's schedule.
 //!
 //! The schedule itself is inert data. [`crate::sim::Simulator::inject_faults`]
-//! turns it into shard-local events on dedicated fault lanes so the
-//! canonical `(time, lane, seq)` order — and therefore `--shards K`
-//! byte-identity — holds under faults.
+//! turns it into events on dedicated fault lanes, so every fault boundary
+//! takes a fixed place in the canonical `(time, lane, seq)` order.
 
 use crate::packet::{LinkId, NodeId};
 use crate::rng::Pcg32;

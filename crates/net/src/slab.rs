@@ -85,7 +85,7 @@ impl<T> FlowSlab<T> {
 
     /// Iterate every stored `(id, value)` pair, in `(node, counter)`
     /// order — deterministic, so callers may act on entries in iteration
-    /// order without breaking shard-count invariance.
+    /// order without making the run depend on insertion history.
     pub fn iter(&self) -> impl Iterator<Item = (FlowId, &T)> {
         self.per_node.iter().enumerate().flat_map(|(node, lane)| {
             lane.iter()

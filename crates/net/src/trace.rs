@@ -1,6 +1,6 @@
-//! Measurement helpers: summaries, percentiles, time series.
+//! Measurement helpers: summaries and percentiles.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
 /// An accumulating sample set with summary statistics.
 #[derive(Clone, Debug, Default)]
@@ -92,58 +92,6 @@ impl Samples {
     }
 }
 
-/// A time series with fixed-width buckets, summing values per bucket
-/// (e.g. bytes per 5-second interval, as the paper's capacity test uses).
-#[derive(Clone, Debug)]
-pub struct TimeSeries {
-    bucket: SimDuration,
-    buckets: Vec<f64>,
-}
-
-impl TimeSeries {
-    /// A series with the given bucket width.
-    pub fn new(bucket: SimDuration) -> Self {
-        assert!(bucket.as_nanos() > 0);
-        TimeSeries {
-            bucket,
-            buckets: Vec::new(),
-        }
-    }
-
-    /// Add `value` to the bucket containing `at`.
-    pub fn add(&mut self, at: SimTime, value: f64) {
-        let idx = usize::try_from(at.as_nanos() / self.bucket.as_nanos())
-            .expect("invariant: bucket index fits usize");
-        if idx >= self.buckets.len() {
-            self.buckets.resize(idx + 1, 0.0);
-        }
-        self.buckets[idx] += value;
-    }
-
-    /// Per-bucket sums.
-    pub fn buckets(&self) -> &[f64] {
-        &self.buckets
-    }
-
-    /// Mean and standard deviation of per-bucket sums, excluding the first
-    /// and last bucket (edge effects), matching the paper's methodology of
-    /// reporting a 5-second-interval time series mean ± stddev.
-    pub fn interior_mean_stddev(&self) -> (f64, f64) {
-        if self.buckets.len() <= 2 {
-            let mut s = Samples::new();
-            for &b in &self.buckets {
-                s.push(b);
-            }
-            return (s.mean(), s.stddev());
-        }
-        let mut s = Samples::new();
-        for &b in &self.buckets[1..self.buckets.len() - 1] {
-            s.push(b);
-        }
-        (s.mean(), s.stddev())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,26 +136,5 @@ mod tests {
         assert_eq!(s.percentile(90.0), 0.0);
         assert_eq!(s.stddev(), 0.0);
         assert!(s.is_empty());
-    }
-
-    #[test]
-    fn time_series_buckets() {
-        let mut ts = TimeSeries::new(SimDuration::from_secs(5));
-        ts.add(SimTime::from_secs(1), 10.0);
-        ts.add(SimTime::from_secs(4), 5.0);
-        ts.add(SimTime::from_secs(5), 7.0);
-        ts.add(SimTime::from_secs(14), 3.0);
-        assert_eq!(ts.buckets(), &[15.0, 7.0, 3.0]);
-    }
-
-    #[test]
-    fn interior_stats_drop_edges() {
-        let mut ts = TimeSeries::new(SimDuration::from_secs(1));
-        for (t, v) in [(0, 100.0), (1, 10.0), (2, 10.0), (3, 10.0), (4, 100.0)] {
-            ts.add(SimTime::from_secs(t), v);
-        }
-        let (mean, sd) = ts.interior_mean_stddev();
-        assert_eq!(mean, 10.0);
-        assert_eq!(sd, 0.0);
     }
 }

@@ -87,9 +87,8 @@ proptest! {
         pairs in proptest::collection::vec((0u64..1_000_000, 0u64..4), 2..120),
     ) {
         // Alternate pop-then-push so later pushes frequently aim at
-        // granules the wheel has already drained past (the cross-shard
-        // reinjection shape: a barrier delivers events timed inside a
-        // window the local queue has finished searching).
+        // granules the wheel has already drained past: a push timed
+        // below the cursor must still pop in heap order.
         let mut wheel = EventQueue::new();
         let mut heap = HeapQueue::new();
         for (i, &(t, lane)) in pairs.iter().enumerate() {

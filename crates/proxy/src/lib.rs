@@ -206,8 +206,7 @@ pub fn spawn(config: ProxyConfig) -> std::io::Result<ProxyHandle> {
             ..Shared::default()
         }),
         wake: Condvar::new(),
-        // Real wall clock: the proxy serves live sockets (see clippy.toml).
-        #[allow(clippy::disallowed_methods)]
+        // Real wall clock: the proxy serves live sockets.
         start: Instant::now(),
         server_tx: Mutex::new(server_tx),
         shutdown: AtomicBool::new(false),

@@ -4,6 +4,8 @@
 //!
 //! * every simulated entry runs for a few simulated seconds and yields a
 //!   sane [`RunReport`] (requests generated, utilization ∈ [0,1]);
+//! * every simulated entry dispatches each callback through a concrete
+//!   agent variant, never the boxed fallback;
 //! * the same entry + seed produces byte-identical JSON through the
 //!   driver, the determinism contract replicates rely on.
 
@@ -57,6 +59,45 @@ fn every_simulated_entry_produces_a_sane_report() {
                 served <= r.good.generated + r.bad.generated,
                 "{}: served more than generated",
                 entry.name
+            );
+        }
+    }
+}
+
+#[test]
+fn every_simulated_entry_is_fully_devirtualized() {
+    // Registry scenarios are built from the production agents, so every
+    // callback must route through a concrete `AppSlot` variant: the
+    // `boxed` escape hatch exists for out-of-tree apps and must stay
+    // cold in every shipped scenario.
+    for entry in registry::registry() {
+        if !entry.is_simulated() {
+            continue;
+        }
+        let run = driver::execute(entry, &quick(1, 1));
+        for r in &run.reports {
+            let concrete: u64 = r
+                .dispatch_counts
+                .iter()
+                .filter(|(name, _)| *name != "boxed")
+                .map(|(_, n)| n)
+                .sum();
+            assert!(
+                concrete > 0,
+                "{}: run {} recorded no concrete-variant dispatches",
+                entry.name,
+                r.name
+            );
+            let boxed: u64 = r
+                .dispatch_counts
+                .iter()
+                .filter(|(name, _)| *name == "boxed")
+                .map(|(_, n)| n)
+                .sum();
+            assert_eq!(
+                boxed, 0,
+                "{}: run {} dispatched {boxed} events through the boxed fallback",
+                entry.name, r.name
             );
         }
     }
